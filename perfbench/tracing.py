@@ -70,25 +70,10 @@ LAYERS: Tuple[Tuple[str, str, str, Optional[Callable]], ...] = (
     ("sharded.dispatch", "multiprocessing.pool", "Pool.map", None),
 )
 
-# Layers whose time and calls are reported, as ``<layer>_s``/``<layer>_calls``.
-TIMED = (
-    "netlist.parse",
-    "cells.library",
-    "faults.collapse",
-    "compiled.compile",
-    "schedule.partition",
-    "vector.plan",
-    "vector.cone_pass",
-    "vector.good",
-    "faultsim.window_core",
-    "faultsim.fold",
-    "source.patterns",
-    "artifacts.fetch",
-    "protest.signal",
-    "protest.detection",
-    "protest.optimize",
-    "protest.test_length",
-)
+# Layers reported only as counts; every other layer is reported as
+# ``<layer>_s`` (self time) and ``<layer>_calls``.
+COUNTED_ONLY = {"protest.candidate", "sharded.pool_start", "sharded.dispatch"}
+TIMED = tuple(dict.fromkeys(entry[0] for entry in LAYERS if entry[0] not in COUNTED_ONLY))
 
 
 class Tracer:
